@@ -5,9 +5,7 @@
 //
 // Read/write mixes (ISSUE 10 acceptance): 100/0, 90/10, and 50/50
 // read/write mixes at 8 clients over a pre-populated relation, with
-// throughput plus per-class (read vs write) latency percentiles. The
-// reader-pool width comes from ARIEL_READ_THREADS (0 = the serialized
-// baseline), so an A/B is two runs of the same binary.
+// throughput plus per-class (read vs write) latency percentiles.
 //
 // Smoke mode (ARIEL_BENCH_SMOKE=1): one configuration, 8 clients — the
 // acceptance floor — with a small per-client command count. Full mode
@@ -16,7 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -263,9 +260,7 @@ int main() {
     reporter.AddResult(prefix + "p99_latency_ms", result.p99_ms);
   }
 
-  // Read/write mixes at the 8-client acceptance point. The reader-pool
-  // width is whatever ARIEL_READ_THREADS says (the Database constructor
-  // reads it), so serialized-vs-concurrent is an env-only A/B.
+  // Read/write mixes at the 8-client acceptance point.
   const int mix_commands = smoke ? 40 : 400;
   struct Mix {
     int writes_per_10;
@@ -273,11 +268,7 @@ int main() {
   };
   const Mix mixes[] = {{0, "mix100_0"}, {1, "mix90_10"}, {5, "mix50_50"}};
   std::printf("read/write mixes: 8 clients, %d commands/client, "
-              "1000-row emp, ARIEL_READ_THREADS=%s\n",
-              mix_commands,
-              std::getenv("ARIEL_READ_THREADS") != nullptr
-                  ? std::getenv("ARIEL_READ_THREADS")
-                  : "(unset)");
+              "1000-row emp\n", mix_commands);
   for (const Mix& mix : mixes) {
     MixResult result = RunMix(8, mix_commands, mix.writes_per_10, mix.tag);
     const std::string prefix = std::string(mix.tag) + "_c8_";

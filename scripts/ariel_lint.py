@@ -67,16 +67,14 @@ Rules
                  believes is installed.
   read-path-purity
                  Mutation entry points inside the body of an
-                 `ExecuteReadOnly` definition. Those bodies are the engine's
-                 concurrent read path: the server's reader pool runs them on
-                 worker threads against a pinned snapshot, concurrently with
-                 other reads, with only the write barrier keeping mutators
-                 out. A call to ExecuteTransacted/ExecuteDml/ExecuteCommand/
-                 ExecuteAll, RunCycle, BeginTransition,
-                 RefreshSystemCatalogs, BumpVersion, DetachForWrite, a
-                 relation Insert/InsertAt/Delete/Update, or a Reset/Clear
-                 there mutates shared engine state off the serialized write
-                 path — a data race, not just a layering violation.
+                 `ExecuteReadOnly` definition. Those bodies run read-only
+                 commands without a command savepoint or undo frame, so a
+                 mutation there would escape undo: an error later in the
+                 command could not roll it back. A call to
+                 ExecuteTransacted/ExecuteDml/ExecuteCommand/ExecuteAll,
+                 RunCycle, BeginTransition, RefreshSystemCatalogs,
+                 BumpVersion, a relation Insert/InsertAt/Delete/Update, or a
+                 Reset/Clear there is flagged.
   atomic-order   Atomic operations in the concurrency-critical util files
                  (src/util/metrics.*, src/util/thread_pool.*) must name an
                  explicit std::memory_order. Metric handles are updated from
@@ -279,11 +277,11 @@ NETWORK_TOPOLOGY_OK_FILES = (("src", "rules", "rule_manager.cc"),)
 
 # read-path-purity: names that mutate engine state. None of them may be
 # called from the body of an ExecuteReadOnly definition — those bodies run
-# on reader-pool threads, outside the serialized write path.
+# without a command savepoint, so a mutation there would escape undo.
 READ_ONLY_DEF_RE = re.compile(r"::\s*ExecuteReadOnly\s*\(")
 READ_PATH_FORBIDDEN_RE = re.compile(
     r"\b(ExecuteTransacted|ExecuteDml|ExecuteCommand|ExecuteAll|RunCycle|"
-    r"BeginTransition|RefreshSystemCatalogs|BumpVersion|DetachForWrite)"
+    r"BeginTransition|RefreshSystemCatalogs|BumpVersion)"
     r"\s*\(|"
     r"(->|\.)\s*(Insert|InsertAt|Delete|Update|Reset|Clear)\s*\(")
 
@@ -421,7 +419,7 @@ def lint_file(path: Path) -> list[Finding]:
                    "adaptive bookkeeping stay consistent")
 
     # read-path-purity: no mutation entry point inside the body of an
-    # ExecuteReadOnly definition (the pool-executed concurrent read path).
+    # ExecuteReadOnly definition (the savepoint-free read path).
     if rel_all[0] == "src" and path.suffix in (".cc", ".cpp"):
         for m in READ_ONLY_DEF_RE.finditer(code):
             paren = code.index("(", m.start())
@@ -445,9 +443,10 @@ def lint_file(path: Path) -> list[Finding]:
                 name = fm.group(1) or fm.group(3)
                 lineno = base_line + body[: fm.start()].count("\n") + 1
                 report(lineno, "read-path-purity",
-                       f"{name}() inside ExecuteReadOnly — the concurrent "
-                       "read path runs on reader-pool threads; mutations "
-                       "belong to the serialized write path")
+                       f"{name}() inside ExecuteReadOnly — the read path "
+                       "runs without a command savepoint, so a mutation "
+                       "there escapes undo; mutations belong to the "
+                       "transacted write path")
 
     # server-session: inside src/server/, Database::Execute* stays in the
     # session layer.

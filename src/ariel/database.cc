@@ -6,25 +6,11 @@
 #include <sstream>
 
 #include "parser/parser.h"
+#include "util/env.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
 
 namespace ariel {
-
-namespace {
-
-/// Environment override for the batch-pipeline knobs (A/B comparisons
-/// without recompiling callers). Malformed values are ignored.
-size_t EnvSizeOr(const char* name, size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<size_t>(parsed);
-}
-
-}  // namespace
 
 Database::Database(DatabaseOptions options)
     : options_(options), optimizer_(options.optimizer) {
@@ -40,9 +26,7 @@ Database::Database(DatabaseOptions options)
   options_.batch_tokens = EnvSizeOr("ARIEL_BATCH_TOKENS", options_.batch_tokens);
   network_.set_columnar_exec(options_.columnar_exec);
   options_.match_threads =
-      EnvSizeOr("ARIEL_MATCH_THREADS", options_.match_threads);
-  options_.read_threads =
-      EnvSizeOr("ARIEL_READ_THREADS", options_.read_threads);
+      EnvSizeOr("ARIEL_MATCH_THREADS", options_.match_threads, kMaxEnvThreads);
   if (options_.match_threads > 0) {
     match_pool_ = std::make_unique<ThreadPool>(options_.match_threads);
     network_.ConfigureBatching(match_pool_.get());
@@ -165,12 +149,8 @@ Result<std::vector<CommandResult>> Database::ExecuteAll(
 }
 
 Result<CommandResult> Database::ExecuteCommand(const Command& command) {
-  // Read-only commands take the same const snapshot path the server's
-  // reader pool uses, so serialized (ARIEL_READ_THREADS=0) and concurrent
-  // configurations are equivalent by construction.
-  if (IsReadOnlyCommand(command)) {
-    return ExecuteReadOnly(command, AcquireReadSnapshot());
-  }
+  // Read-only commands take the const path: no transition, no savepoint.
+  if (IsReadOnlyCommand(command)) return ExecuteReadOnly(command);
   switch (command.kind) {
     case CommandKind::kCreate:
     case CommandKind::kDefineIndex:
@@ -299,7 +279,7 @@ Result<CommandResult> Database::ExecuteCommand(const Command& command) {
     case CommandKind::kAnalyzeRules:
       // Read-only diagnostics; unreachable through the routing above, but
       // kept so a direct caller gets the same behaviour.
-      return ExecuteReadOnly(command, AcquireReadSnapshot());
+      return ExecuteReadOnly(command);
   }
   return Status::Internal("unhandled command kind");
 }
@@ -346,26 +326,8 @@ std::string Database::RenderStats() const {
   return os.str();
 }
 
-ReadSnapshot Database::AcquireReadSnapshot() const {
-  ReadSnapshot snapshot;
-  snapshot.catalog_version = catalog_.version();
-  for (const std::string& name : catalog_.RelationNames()) {
-    const HeapRelation* rel = catalog_.GetRelation(name);
-    if (rel == nullptr) continue;
-    snapshot.pins.push_back(
-        ReadSnapshot::Pin{rel, rel->PinStore(), rel->version()});
-  }
-  return snapshot;
-}
-
 Result<CommandResult> Database::ExecuteReadOnly(
-    const Command& command, const ReadSnapshot& snapshot) const {
-  // The snapshot's pins keep every relation's tuple storage alive for the
-  // duration of the call; under the server's write barrier the live data a
-  // plan reads is additionally bit-identical to the pinned stores (writers
-  // wait for in-flight reads before mutating, and mutation of a pinned
-  // store detaches a fresh copy rather than touching it in place).
-  (void)snapshot;
+    const Command& command) const {
   switch (command.kind) {
     case CommandKind::kRetrieve:
       return executor_->ExecuteReadOnly(command);

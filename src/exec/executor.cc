@@ -429,8 +429,8 @@ Result<CommandResult> Executor::ExecuteReadOnly(
     return Status::Internal("ExecuteReadOnly: retrieve into is a mutation");
   }
   // A call-local plan: the read path never touches the scratch slot or a
-  // shared cache, so concurrent readers don't contend (at the price of
-  // re-planning each read; the pre-registered counter is a relaxed atomic).
+  // shared cache, so it stays const (at the price of re-planning each
+  // read; the pre-registered counter is a relaxed atomic).
   ARIEL_ASSIGN_OR_RETURN(Plan plan, PlanFor(cmd, extra));
   Metrics().plans_built.Increment();
   return RunRetrieve(cmd, plan);

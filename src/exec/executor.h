@@ -62,9 +62,9 @@ class Executor {
 
   /// Const-clean execution of a read-only command (currently: plain
   /// retrieve, no `into`). Plans into a call-local slot — never the scratch
-  /// plan or a cache — and touches no executor state, so any number of
-  /// snapshot readers may run it concurrently with each other. The metrics
-  /// it bumps are relaxed atomics.
+  /// plan or a cache — and touches no executor state, so a read leaves the
+  /// write path's plans untouched. The metrics it bumps are relaxed
+  /// atomics.
   [[nodiscard]] Result<CommandResult> ExecuteReadOnly(
       const Command& command, const ExtraBindings* extra = nullptr) const;
 

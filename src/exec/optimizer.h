@@ -51,7 +51,8 @@ class Optimizer {
   /// Builds a plan producing every binding of `vars` satisfying `qual`
   /// (null = no qualification). Scope ordinals follow `vars` order. Const:
   /// planning reads the options and overrides but never mutates the
-  /// optimizer, so the concurrent read path can plan against a snapshot.
+  /// optimizer, so the const read path (Executor::ExecuteReadOnly) can
+  /// plan too.
   [[nodiscard]] Result<Plan> BuildPlan(const std::vector<PlanVar>& vars,
                                        const Expr* qual) const;
 

@@ -440,9 +440,9 @@ struct AnalyzeRulesCommand : Command {
 // ---------------------------------------------------------------------------
 
 /// Static, AST-level classification of one parsed command — computed without
-/// touching the catalog, so the server can classify requests off the engine
-/// thread. The executor/database read path trusts this: a command whose
-/// traits say `read_only` must take only const engine entry points.
+/// touching the catalog. The executor/database read path trusts this: a
+/// command whose traits say `read_only` must take only const engine entry
+/// points.
 struct CommandTraits {
   /// Never mutates relations, the catalog, rule state, transaction state,
   /// or the metrics registry. `retrieve into` is NOT read-only (it creates
@@ -451,7 +451,7 @@ struct CommandTraits {
   bool read_only = false;
   /// A retrieve ranging over a sys* catalog relation: the engine refreshes
   /// the system-catalog snapshots (a mutation) before answering, so these
-  /// stay on the serialized path even though the command text is a read.
+  /// stay on the transacted path even though the command text is a read.
   bool touches_sys_catalog = false;
 };
 
@@ -459,8 +459,8 @@ struct CommandTraits {
 /// a transition on the engine thread by definition.
 CommandTraits TraitsOf(const Command& command);
 
-/// True when the command may run on the concurrent read path: read-only
-/// AND no sys-catalog refresh needed.
+/// True when the command takes the const read path
+/// (Database::ExecuteReadOnly): read-only AND no sys-catalog refresh needed.
 bool IsReadOnlyCommand(const Command& command);
 
 // ---------------------------------------------------------------------------

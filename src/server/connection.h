@@ -2,7 +2,6 @@
 #define ARIEL_SERVER_CONNECTION_H_
 
 #include <chrono>
-#include <cstdint>
 #include <deque>
 #include <memory>
 #include <string>
@@ -27,9 +26,8 @@ namespace ariel::server {
 /// queued, so responses are never reordered or lost.
 class Connection {
  public:
-  Connection(int fd, uint64_t id, std::unique_ptr<Session> session)
+  Connection(int fd, std::unique_ptr<Session> session)
       : fd_(fd),
-        id_(id),
         session_(std::move(session)),
         last_activity_(std::chrono::steady_clock::now()) {}
   ~Connection();
@@ -47,7 +45,6 @@ class Connection {
   [[nodiscard]] Result<bool> FlushOutput();
 
   int fd() const { return fd_; }
-  uint64_t id() const { return id_; }
   Session& session() { return *session_; }
 
   void Touch() { last_activity_ = std::chrono::steady_clock::now(); }
@@ -55,29 +52,8 @@ class Connection {
     return last_activity_;
   }
 
-  /// One decoded request, classified at decode time so the dispatch
-  /// decision (reader pool vs. engine thread) never re-parses per poll.
-  struct Request {
-    std::string text;
-    /// Whole script parses and is read-only (Session::ClassifyRequest).
-    bool read_only = false;
-  };
-
-  /// One in-order reply slot. Every executed request claims the next slot;
-  /// engine-thread execution fills it immediately, a dispatched read fills
-  /// it when its completion is harvested. Slots drain into `output`
-  /// strictly front-to-back, so responses keep request order even when
-  /// pool reads finish out of order.
-  struct ReplySlot {
-    uint64_t seq = 0;
-    bool ready = false;
-    std::string encoded;
-  };
-
   std::string input;                 // raw bytes, not yet framed
-  std::deque<Request> requests;      // decoded, not yet executed
-  std::deque<ReplySlot> reply_slots;  // executed/dispatched, not yet emitted
-  uint64_t next_reply_seq = 1;
+  std::deque<std::string> requests;  // decoded, not yet executed
   std::string output;                // encoded replies, not yet flushed
 
   /// EOF seen: execute what was pipelined, flush, then close.
@@ -98,7 +74,6 @@ class Connection {
 
  private:
   int fd_;
-  uint64_t id_;
   std::unique_ptr<Session> session_;
   std::chrono::steady_clock::time_point last_activity_;
 };

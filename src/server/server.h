@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "server/connection.h"
 #include "server/event_loop.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace ariel::server {
 
@@ -62,19 +60,10 @@ struct ServerOptions {
 /// a signal handler) and drains in-flight commands before returning. The
 /// Database must not be touched by other threads while Run is executing.
 ///
-/// Concurrent read path (ISSUE 10 tentpole): with
-/// DatabaseOptions.read_threads > 0 (ARIEL_READ_THREADS), requests that
-/// classify as read-only are dispatched to a reader thread pool and execute
-/// against a pinned snapshot via Database::ExecuteReadOnly, concurrently
-/// with each other. Mutating commands stay serialized on the event-loop
-/// thread behind a write barrier: they wait until every dispatched read has
-/// finished, and while one waits no new read is dispatched
-/// (anti-starvation). Per-connection response order is preserved through
-/// seq-numbered reply slots; sessions inside an explicit transaction (and
-/// everyone else while one is open) stay fully serialized. With
-/// read_threads == 0 everything runs exactly as before — the engine routes
-/// read-only commands through the same const path either way, so results
-/// are byte-identical at every thread count.
+/// Every request runs on the event-loop thread, one at a time, in arrival
+/// order per connection: each command is one transition followed by its
+/// recognize-act cycle, exactly as in-process. Read-only commands take the
+/// engine's const path (Database::ExecuteReadOnly) on that same thread.
 class ArielServer {
  public:
   ArielServer(Database* db, ServerOptions options);
@@ -101,43 +90,16 @@ class ArielServer {
   size_t active_connections() const { return connections_.size(); }
 
  private:
-  /// One finished pool read, queued by the worker for the event-loop thread
-  /// to marry back to its connection's reply slot. Identified by connection
-  /// id, not pointer: the connection may have been torn down while the read
-  /// ran (the completion is then counted as orphaned and dropped).
-  struct ReadCompletion {
-    uint64_t conn_id = 0;
-    uint64_t slot_seq = 0;
-    char kind = 0;
-    std::string payload;
-  };
-
   void AcceptNew();
   /// Reads a connection's socket and decodes complete frames into its
-  /// request queue (classifying each read-only or not); framing errors park
-  /// a pending_error reply.
+  /// request queue; framing errors park a pending_error reply.
   void ReadAndDecode(Connection& conn);
   /// Executes runnable requests across connections, round-robin, until no
   /// progress: skips connections stalled on backpressure and, while one
   /// session holds the explicit transaction, everyone but the owner.
-  /// Read-only requests are dispatched to the reader pool when eligible;
-  /// mutating ones wait behind the write barrier.
   /// Returns true if any request executed (or framing error was emitted).
   bool Pump();
   Session* TransactionOwner();
-  /// Hands one read-only request to the reader pool: claims the next reply
-  /// slot, bumps reads-in-flight, and submits a task that executes via
-  /// Session::ExecuteDetached. The task captures only the database pointer
-  /// and the request text — never the connection or session, which may be
-  /// gone by completion time.
-  void DispatchRead(Connection& conn, std::string text);
-  /// Marries finished pool reads back to their reply slots (dropping
-  /// orphans whose connection closed) and emits newly-ready replies.
-  void HarvestReadCompletions();
-  /// Moves ready front slots into the connection's output buffer.
-  static void EmitReadyReplies(Connection& conn);
-  size_t ReadsInFlight();
-  Connection* FindConnection(uint64_t id);
   /// Flushes outputs and reconciles each connection's event-loop interest
   /// bits with its current state.
   void FlushAndUpdateInterest();
@@ -160,19 +122,6 @@ class ArielServer {
   std::atomic<bool> shutdown_requested_{false};
   bool draining_ = false;
   std::chrono::steady_clock::time_point drain_deadline_{};
-
-  /// Reader pool (null when read_threads == 0: fully serialized). Created
-  /// in Start(); Run() drains every dispatched read before tearing down
-  /// connections, and the destructor resets the pool before closing the
-  /// wake pipe its workers write to.
-  std::unique_ptr<ThreadPool> read_pool_;
-  std::mutex read_mu_;
-  std::vector<ReadCompletion> read_completions_;  // guarded by read_mu_
-  size_t reads_in_flight_ = 0;                    // guarded by read_mu_
-  /// Anti-starvation: a mutating command is blocked on the write barrier,
-  /// so no new read may be dispatched until it runs. Event-loop thread
-  /// only; cleared whenever the barrier is observed open.
-  bool write_waiting_ = false;
 };
 
 }  // namespace ariel::server

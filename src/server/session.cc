@@ -3,37 +3,10 @@
 #include <utility>
 #include <vector>
 
-#include "parser/parser.h"
 #include "server/protocol.h"
 #include "util/metrics.h"
 
 namespace ariel::server {
-
-namespace {
-
-/// Renders an execution outcome as the wire reply and counts the executed
-/// commands — shared by the serialized path (HandleRequest) and the
-/// detached read path (ExecuteDetached) so the two are byte-identical.
-Session::Reply RenderReply(
-    const Result<std::vector<CommandResult>>& results) {
-  if (!results.ok()) {
-    if (results.status().IsIncompleteInput()) {
-      return Session::Reply{kRespIncomplete,
-                            results.status().ToString() + "\n"};
-    }
-    return Session::Reply{kRespError,
-                          "error: " + results.status().ToString() + "\n"};
-  }
-  Metrics().server_commands.Increment(results->size());
-  if (results->empty()) return Session::Reply{kRespOk, "ok\n"};
-  std::string payload;
-  for (const CommandResult& result : *results) {
-    payload += RenderCommandResult(result);
-  }
-  return Session::Reply{kRespOk, std::move(payload)};
-}
-
-}  // namespace
 
 Session::Reply Session::HandleRequest(const std::string& text) {
   Result<std::vector<CommandResult>> results = [&] {
@@ -44,42 +17,20 @@ Session::Reply Session::HandleRequest(const std::string& text) {
   // dispatches to this session when that slot is free or already ours, so
   // "open after the request" means ours.
   owns_txn_ = db_->txn().in_explicit();
-  if (results.ok()) commands_ += results->size();
-  return RenderReply(results);
-}
-
-bool Session::ClassifyRequest(const std::string& text) {
-  Result<std::vector<CommandPtr>> commands = ParseScript(text);
-  // Parse errors and incomplete input are not read-only: the serialized
-  // path owns error/continuation reporting (and session line accumulation).
-  if (!commands.ok() || commands->empty()) return false;
-  for (const CommandPtr& command : *commands) {
-    if (!IsReadOnlyCommand(*command)) return false;
-  }
-  return true;
-}
-
-Session::Reply Session::ExecuteDetached(const Database* db,
-                                        const std::string& text) {
-  Result<std::vector<CommandResult>> results =
-      [&]() -> Result<std::vector<CommandResult>> {
-    ScopedTimer timer(Metrics().server_command_ns);
-    ARIEL_ASSIGN_OR_RETURN(std::vector<CommandPtr> commands,
-                           ParseScript(text));
-    // One snapshot for the whole request: every command in it reads the
-    // same pinned state (the request was classified read-only, so nothing
-    // in it can invalidate the snapshot either).
-    const ReadSnapshot snapshot = db->AcquireReadSnapshot();
-    std::vector<CommandResult> out;
-    out.reserve(commands.size());
-    for (const CommandPtr& command : commands) {
-      ARIEL_ASSIGN_OR_RETURN(CommandResult result,
-                             db->ExecuteReadOnly(*command, snapshot));
-      out.push_back(std::move(result));
+  if (!results.ok()) {
+    if (results.status().IsIncompleteInput()) {
+      return Reply{kRespIncomplete, results.status().ToString() + "\n"};
     }
-    return out;
-  }();
-  return RenderReply(results);
+    return Reply{kRespError, "error: " + results.status().ToString() + "\n"};
+  }
+  commands_ += results->size();
+  Metrics().server_commands.Increment(results->size());
+  if (results->empty()) return Reply{kRespOk, "ok\n"};
+  std::string payload;
+  for (const CommandResult& result : *results) {
+    payload += RenderCommandResult(result);
+  }
+  return Reply{kRespOk, std::move(payload)};
 }
 
 void Session::OnDisconnect() {

@@ -41,21 +41,6 @@ class Session {
   /// returns kRespIncomplete so the client keeps accumulating lines.
   Reply HandleRequest(const std::string& text);
 
-  /// True iff `text` parses completely and every command in it is read-only
-  /// (IsReadOnlyCommand) — i.e. the whole request is eligible for the
-  /// server's concurrent read path. Parse errors and incomplete input
-  /// classify as not-read-only so the serialized path reports them.
-  /// Static and side-effect-free: the server calls it at decode time.
-  static bool ClassifyRequest(const std::string& text);
-
-  /// Executes a read-only request against a pinned snapshot and renders the
-  /// reply. Static and const over the database: touches no session state
-  /// and no engine state, so the server's reader pool can run it on any
-  /// worker thread, concurrently with other reads, and the reply stays
-  /// valid even if this client's connection has since been torn down.
-  /// Byte-identical to HandleRequest for the same (read-only) request.
-  static Reply ExecuteDetached(const Database* db, const std::string& text);
-
   /// True while this session's `begin` holds the engine's explicit
   /// transaction open — the server's serialization gate.
   bool owns_transaction() const { return owns_txn_; }

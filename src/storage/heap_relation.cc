@@ -10,8 +10,7 @@ namespace ariel {
 HeapRelation::HeapRelation(uint32_t id, std::string name, Schema schema)
     : id_(id),
       name_(ToLower(name)),
-      schema_(std::move(schema)),
-      store_(std::make_shared<TupleStore>()) {}
+      schema_(std::move(schema)) {}
 
 Status HeapRelation::CoerceToSchema(Tuple* tuple) const {
   if (tuple->size() != schema_.num_attributes()) {
@@ -35,36 +34,22 @@ Status HeapRelation::CoerceToSchema(Tuple* tuple) const {
   return Status::OK();
 }
 
-TupleStore& HeapRelation::DetachForWrite() {
-  if (store_.use_count() > 1) {
-    store_ = std::make_shared<TupleStore>(*store_);
-    Metrics().snapshot_cow_copies.Increment();
-  }
-  return *store_;
-}
-
-std::shared_ptr<const TupleStore> HeapRelation::PinStore() const {
-  Metrics().snapshot_pins.Increment();
-  return store_;
-}
-
 Result<TupleId> HeapRelation::Insert(Tuple tuple) {
   ARIEL_RETURN_NOT_OK(CoerceToSchema(&tuple));
-  TupleStore& store = DetachForWrite();
   uint32_t slot;
-  if (!store.free_slots.empty()) {
-    slot = store.free_slots.back();
-    store.free_slots.pop_back();
-    store.slots[slot] = std::move(tuple);
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(tuple);
   } else {
-    slot = static_cast<uint32_t>(store.slots.size());
-    store.slots.push_back(std::move(tuple));
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(std::move(tuple));
   }
-  ++store.live_count;
+  ++live_count_;
   InvalidateColumnCache();
   TupleId tid{id_, slot};
   for (auto& [attr_pos, index] : indexes_) {
-    index->Insert(store.slots[slot]->at(attr_pos), tid);
+    index->Insert(slots_[slot]->at(attr_pos), tid);
   }
   return tid;
 }
@@ -75,75 +60,71 @@ Status HeapRelation::InsertAt(TupleId tid, Tuple tuple) {
                                   " into foreign relation \"" + name_ + "\"");
   }
   ARIEL_RETURN_NOT_OK(CoerceToSchema(&tuple));
-  TupleStore& store = DetachForWrite();
-  if (tid.slot < store.slots.size()) {
-    if (store.slots[tid.slot].has_value()) {
+  if (tid.slot < slots_.size()) {
+    if (slots_[tid.slot].has_value()) {
       return Status::ExecutionError("InsertAt into occupied slot " +
                                     tid.ToString() + " of \"" + name_ + "\"");
     }
-    if (!store.free_slots.empty() && store.free_slots.back() == tid.slot) {
-      store.free_slots.pop_back();
+    if (!free_slots_.empty() && free_slots_.back() == tid.slot) {
+      free_slots_.pop_back();
     } else {
-      auto it = std::find(store.free_slots.begin(), store.free_slots.end(),
-                          tid.slot);
-      if (it == store.free_slots.end()) {
+      auto it = std::find(free_slots_.begin(), free_slots_.end(), tid.slot);
+      if (it == free_slots_.end()) {
         return Status::Internal("empty slot " + tid.ToString() + " of \"" +
                                 name_ + "\" is missing from the free list");
       }
-      store.free_slots.erase(it);
+      free_slots_.erase(it);
     }
-    store.slots[tid.slot] = std::move(tuple);
+    slots_[tid.slot] = std::move(tuple);
   } else {
     // Restoring past the end re-grows the heap; any intermediate slots the
     // growth creates become free (cannot happen during rollback, where the
     // slot existed at forward-mutation time, but keeps the call total).
-    while (store.slots.size() < tid.slot) {
-      store.free_slots.push_back(static_cast<uint32_t>(store.slots.size()));
-      store.slots.emplace_back();
+    while (slots_.size() < tid.slot) {
+      free_slots_.push_back(static_cast<uint32_t>(slots_.size()));
+      slots_.emplace_back();
     }
-    store.slots.push_back(std::move(tuple));
+    slots_.push_back(std::move(tuple));
   }
-  ++store.live_count;
+  ++live_count_;
   InvalidateColumnCache();
   for (auto& [attr_pos, index] : indexes_) {
-    index->Insert(store.slots[tid.slot]->at(attr_pos), tid);
+    index->Insert(slots_[tid.slot]->at(attr_pos), tid);
   }
   return Status::OK();
 }
 
 Status HeapRelation::Delete(TupleId tid) {
-  if (tid.relation_id != id_ || tid.slot >= store_->slots.size() ||
-      !store_->slots[tid.slot].has_value()) {
+  if (tid.relation_id != id_ || tid.slot >= slots_.size() ||
+      !slots_[tid.slot].has_value()) {
     return Status::ExecutionError("delete of nonexistent tuple " +
                                   tid.ToString() + " in \"" + name_ + "\"");
   }
-  TupleStore& store = DetachForWrite();
   for (auto& [attr_pos, index] : indexes_) {
-    index->Remove(store.slots[tid.slot]->at(attr_pos), tid);
+    index->Remove(slots_[tid.slot]->at(attr_pos), tid);
   }
-  store.slots[tid.slot].reset();
-  store.free_slots.push_back(tid.slot);
-  --store.live_count;
+  slots_[tid.slot].reset();
+  free_slots_.push_back(tid.slot);
+  --live_count_;
   InvalidateColumnCache();
   return Status::OK();
 }
 
 Status HeapRelation::Update(TupleId tid, Tuple tuple,
                             const std::vector<std::string>* updated_attrs) {
-  if (tid.relation_id != id_ || tid.slot >= store_->slots.size() ||
-      !store_->slots[tid.slot].has_value()) {
+  if (tid.relation_id != id_ || tid.slot >= slots_.size() ||
+      !slots_[tid.slot].has_value()) {
     return Status::ExecutionError("update of nonexistent tuple " +
                                   tid.ToString() + " in \"" + name_ + "\"");
   }
   ARIEL_RETURN_NOT_OK(CoerceToSchema(&tuple));
   if (updated_attrs == nullptr || updated_attrs->empty()) {
-    TupleStore& store = DetachForWrite();
     for (auto& [attr_pos, index] : indexes_) {
-      index->Remove(store.slots[tid.slot]->at(attr_pos), tid);
+      index->Remove(slots_[tid.slot]->at(attr_pos), tid);
     }
-    store.slots[tid.slot] = std::move(tuple);
+    slots_[tid.slot] = std::move(tuple);
     for (auto& [attr_pos, index] : indexes_) {
-      index->Insert(store.slots[tid.slot]->at(attr_pos), tid);
+      index->Insert(slots_[tid.slot]->at(attr_pos), tid);
     }
     InvalidateColumnCache();
     return Status::OK();
@@ -154,7 +135,7 @@ Status HeapRelation::Update(TupleId tid, Tuple tuple,
     listed[pos] = true;
   }
   {
-    const Tuple& current = *store_->slots[tid.slot];
+    const Tuple& current = *slots_[tid.slot];
     for (size_t i = 0; i < schema_.num_attributes(); ++i) {
       if (listed[i] || current.at(i) == tuple.at(i)) continue;
       return Status::ExecutionError(
@@ -163,16 +144,15 @@ Status HeapRelation::Update(TupleId tid, Tuple tuple,
           " -> " + tuple.at(i).ToString() + ") not named in its target list");
     }
   }
-  TupleStore& store = DetachForWrite();
   for (auto& [attr_pos, index] : indexes_) {
     if (listed[attr_pos]) {
-      index->Remove(store.slots[tid.slot]->at(attr_pos), tid);
+      index->Remove(slots_[tid.slot]->at(attr_pos), tid);
     }
   }
-  store.slots[tid.slot] = std::move(tuple);
+  slots_[tid.slot] = std::move(tuple);
   for (auto& [attr_pos, index] : indexes_) {
     if (listed[attr_pos]) {
-      index->Insert(store.slots[tid.slot]->at(attr_pos), tid);
+      index->Insert(slots_[tid.slot]->at(attr_pos), tid);
     }
   }
   InvalidateColumnCache();
@@ -180,30 +160,27 @@ Status HeapRelation::Update(TupleId tid, Tuple tuple,
 }
 
 const Tuple* HeapRelation::Get(TupleId tid) const {
-  const TupleStore& store = *store_;
-  if (tid.relation_id != id_ || tid.slot >= store.slots.size() ||
-      !store.slots[tid.slot].has_value()) {
+  if (tid.relation_id != id_ || tid.slot >= slots_.size() ||
+      !slots_[tid.slot].has_value()) {
     return nullptr;
   }
-  return &*store.slots[tid.slot];
+  return &*slots_[tid.slot];
 }
 
 void HeapRelation::ForEach(
     const std::function<void(TupleId, const Tuple&)>& fn) const {
-  const TupleStore& store = *store_;
-  for (uint32_t slot = 0; slot < store.slots.size(); ++slot) {
-    if (store.slots[slot].has_value()) {
-      fn(TupleId{id_, slot}, *store.slots[slot]);
+  for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].has_value()) {
+      fn(TupleId{id_, slot}, *slots_[slot]);
     }
   }
 }
 
 std::vector<TupleId> HeapRelation::AllTupleIds() const {
-  const TupleStore& store = *store_;
   std::vector<TupleId> tids;
-  tids.reserve(store.live_count);
-  for (uint32_t slot = 0; slot < store.slots.size(); ++slot) {
-    if (store.slots[slot].has_value()) tids.push_back(TupleId{id_, slot});
+  tids.reserve(live_count_);
+  for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].has_value()) tids.push_back(TupleId{id_, slot});
   }
   return tids;
 }
@@ -212,10 +189,9 @@ Status HeapRelation::CreateIndex(std::string_view attribute) {
   ARIEL_ASSIGN_OR_RETURN(size_t pos, schema_.Find(attribute));
   if (indexes_.contains(pos)) return Status::OK();
   auto index = std::make_unique<BTreeIndex>();
-  const TupleStore& store = *store_;
-  for (uint32_t slot = 0; slot < store.slots.size(); ++slot) {
-    if (store.slots[slot].has_value()) {
-      index->Insert(store.slots[slot]->at(pos), TupleId{id_, slot});
+  for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].has_value()) {
+      index->Insert(slots_[slot]->at(pos), TupleId{id_, slot});
     }
   }
   indexes_.emplace(pos, std::move(index));
@@ -250,11 +226,10 @@ std::shared_ptr<const ColumnBatch> HeapRelation::ColumnView() const {
       column_cache_->source_version() == version_) {
     return column_cache_;
   }
-  const TupleStore& store = *store_;
-  ColumnBatchBuilder builder(schema_, store.live_count);
-  for (uint32_t slot = 0; slot < store.slots.size(); ++slot) {
-    if (store.slots[slot].has_value()) {
-      builder.Append(TupleId{id_, slot}, *store.slots[slot]);
+  ColumnBatchBuilder builder(schema_, live_count_);
+  for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].has_value()) {
+      builder.Append(TupleId{id_, slot}, *slots_[slot]);
     }
   }
   column_cache_ = builder.Build(version_);
@@ -288,9 +263,9 @@ std::string HeapRelation::AuditColumnCache() const {
     return "";
   }
   const ColumnBatch& batch = *cache;
-  if (batch.num_rows() != store_->live_count) {
+  if (batch.num_rows() != live_count_) {
     return "column cache has " + std::to_string(batch.num_rows()) +
-           " row(s) but the heap holds " + std::to_string(store_->live_count);
+           " row(s) but the heap holds " + std::to_string(live_count_);
   }
   for (size_t row = 0; row < batch.num_rows(); ++row) {
     const TupleId tid = batch.tids()[row];

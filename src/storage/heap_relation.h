@@ -17,19 +17,6 @@
 
 namespace ariel {
 
-/// The tuple storage of one relation — the slot array plus its free list —
-/// factored out so read snapshots can pin it by shared_ptr. The relation
-/// owns the current store; a `ReadSnapshot` holds an extra reference.
-/// Mutation goes copy-on-write: the first mutator after a pin clones the
-/// store (DetachForWrite), so pinned readers keep an immutable image while
-/// the relation moves on. In the steady state no snapshot is outstanding at
-/// mutation time and the clone never happens.
-struct TupleStore {
-  std::vector<std::optional<Tuple>> slots;
-  std::vector<uint32_t> free_slots;
-  size_t live_count = 0;
-};
-
 /// An in-memory heap of tuples with stable slot-based tuple identifiers.
 ///
 /// This is the engine's substitute for Ariel's EXODUS-backed storage: slots
@@ -52,8 +39,8 @@ class HeapRelation {
   const Schema& schema() const { return schema_; }
 
   /// Number of live tuples.
-  size_t size() const { return store_->live_count; }
-  bool empty() const { return store_->live_count == 0; }
+  size_t size() const { return live_count_; }
+  bool empty() const { return live_count_ == 0; }
 
   /// Inserts a tuple (must match the schema arity; type agreement is checked
   /// by the executor) and returns its id.
@@ -112,16 +99,9 @@ class HeapRelation {
   /// detect mid-scan mutation and fall back to the row path.
   uint64_t version() const { return version_; }
 
-  /// Pins the current tuple store for a read snapshot: the returned
-  /// shared_ptr keeps this exact slot image alive; the next mutation
-  /// copy-on-writes a private store instead of editing the pinned one.
-  /// Acquire only at quiescence (the server's write barrier guarantees no
-  /// mutation is concurrent with the pin itself).
-  std::shared_ptr<const TupleStore> PinStore() const;
-
   /// Column-major view of the live tuples, built lazily and cached until
   /// the next mutation. Thread-safe: the cache slot is mutex-guarded, so
-  /// concurrent snapshot readers may materialize and share one batch.
+  /// concurrent readers may materialize and share one batch.
   std::shared_ptr<const ColumnBatch> ColumnView() const;
 
   /// The cached view if one is currently materialized and fresh, else null.
@@ -142,21 +122,17 @@ class HeapRelation {
  private:
   void InvalidateColumnCache();
 
-  /// Clones the store when a snapshot still pins it; returns the (now
-  /// private) store every mutator edits. Only called from the serialized
-  /// write path, where no reader is concurrently acquiring pins, so the
-  /// use_count probe is exact.
-  TupleStore& DetachForWrite();
-
   uint32_t id_;
   std::string name_;
   Schema schema_;
-  std::shared_ptr<TupleStore> store_;
+  std::vector<std::optional<Tuple>> slots_;
+  std::vector<uint32_t> free_slots_;
+  size_t live_count_ = 0;
   // attribute position -> index
   std::unordered_map<size_t, std::unique_ptr<BTreeIndex>> indexes_;
   uint64_t version_ = 0;
   // Lazily-built column view of the live tuples; reset by every mutation.
-  // Guarded by column_mu_ so concurrent snapshot readers can share it.
+  // Guarded by column_mu_ so concurrent readers can share it.
   mutable std::mutex column_mu_;
   mutable std::shared_ptr<const ColumnBatch> column_cache_;
 };

@@ -384,17 +384,6 @@ struct EngineMetrics {
   Counter server_txn_aborts_on_disconnect;  // dropped mid-transaction peers
   Gauge server_active_connections;
 
-  // Concurrent read path (reader pool + snapshots). All zero when
-  // DatabaseOptions.read_threads == 0 (fully serialized execution).
-  Counter server_read_dispatches;   // read-only requests run on the pool
-  Counter server_read_serialized;   // read-only requests kept on the engine
-                                    // thread (txn open, pool off, barrier)
-  Counter server_read_barrier_waits;  // writes that had to wait for reads
-  Counter server_read_orphaned;     // read completions whose client vanished
-  Gauge server_reads_in_flight;
-  Counter snapshot_pins;            // TupleStore pins taken by snapshots
-  Counter snapshot_cow_copies;      // mutations that cloned a pinned store
-
   Counter txn_undo_records;   // undo records appended to armed logs
   Counter txn_rollbacks;      // savepoint/command/explicit rollbacks replayed
   Counter txn_rule_aborts;    // rule firings undone by on_action_error=abort_rule

@@ -9,6 +9,7 @@
 //     logical appends.
 // Runs across join backends and α-memory policies.
 
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -28,6 +29,11 @@ struct SoakParams {
   bool cache_plans;
   uint64_t seed;
 };
+
+// Prints a config by name. The default printer dumps the struct's raw bytes,
+// a pointer and padding among them, so the printed value (and the test name
+// that embeds it) would change from run to run.
+void PrintTo(const SoakParams& params, std::ostream* os) { *os << params.name; }
 
 class SoakTest : public ::testing::TestWithParam<SoakParams> {};
 

@@ -1,7 +1,7 @@
-// AST-level read-only classification (ISSUE 10): TraitsOf/IsReadOnlyCommand
-// decide — from the parse tree alone, no catalog access — whether a command
-// may run on the engine's concurrent read path. The table below is the
-// contract the server's dispatch and the database's routing both trust.
+// AST-level read-only classification: TraitsOf/IsReadOnlyCommand decide —
+// from the parse tree alone, no catalog access — whether a command takes
+// the engine's const read path. The table below is the contract the
+// database's routing trusts.
 
 #include "parser/ast.h"
 
@@ -42,7 +42,7 @@ TEST(CommandTraitsTest, RetrieveIntoCreatesARelation) {
 
 TEST(CommandTraitsTest, SysCatalogRetrieveStaysSerialized) {
   // Ranging over a sys* snapshot forces a catalog refresh (a mutation)
-  // before the scan, so the command is a read but not dispatchable.
+  // before the scan, so the command is a read but skips the const path.
   CommandPtr from_list = One("retrieve (sysrelations.all)");
   ASSERT_NE(from_list, nullptr);
   EXPECT_TRUE(TraitsOf(*from_list).read_only);

@@ -4,8 +4,10 @@
 // The core equivalence claim (ISSUE 7 acceptance): a workload executed by
 // concurrent network clients leaves the database in byte-identical
 // DebugDumpState to the same workload executed in-process. The rest covers
-// the transactional edges (disconnect mid-begin aborts, never commits),
-// pipelining order, and framing-error handling.
+// the transactional edges (disconnect mid-begin aborts, never commits; an
+// open transaction defers other sessions' reads and writes), pipelining
+// order across mixed reads and writes, abrupt disconnects, and
+// framing-error handling.
 
 #include "server/server.h"
 
@@ -402,15 +404,169 @@ TEST_P(ServerLoopbackTest, GracefulShutdownDrainsPipelinedRequests) {
   EXPECT_OK(run_status_);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ServerLoopbackTest,
+// Reads interleaved with writes, across one pipelined session or several
+// concurrent ones: reply order, queued replies to a vanished client, owner
+// gating of reads, and a read-heavy mix converging to the serial state.
+class ServerConcurrentReadTest : public ServerLoopbackTest {};
+
+// One connection pipelines interleaved writes and reads in a single burst:
+// replies come back in request order with the exact payload each request
+// gets serially — a read never leapfrogs the writes bracketing it.
+TEST_P(ServerConcurrentReadTest, MixedPipelineKeepsPerSessionOrder) {
+  constexpr int kRounds = 25;
+  StartServer();
+  auto client = Connect();
+  ASSERT_OK(client.status());
+  EXPECT_EQ(Ask(*client, "create t (n = int)"), "ok\n");
+
+  std::string burst;
+  for (int i = 1; i <= kRounds; ++i) {
+    burst += EncodeRequest("append t (n=" + std::to_string(i) + ")");
+    burst += EncodeRequest("retrieve (t.all) where t.n = " +
+                           std::to_string(i));
+    burst += EncodeRequest("retrieve (t.all)");
+  }
+  ASSERT_OK(client->SendRaw(burst));
+
+  for (int i = 1; i <= kRounds; ++i) {
+    auto append_reply = client->ReadResponse();
+    ASSERT_OK(append_reply.status());
+    EXPECT_EQ(append_reply->kind, kRespOk) << "round " << i;
+    EXPECT_EQ(append_reply->payload, "(1 tuples affected)\n")
+        << "round " << i;
+
+    auto point_read = client->ReadResponse();
+    ASSERT_OK(point_read.status());
+    EXPECT_EQ(point_read->kind, kRespOk) << "round " << i;
+    EXPECT_NE(point_read->payload.find("(1 rows)"), std::string::npos)
+        << "round " << i << ": " << point_read->payload;
+
+    // The full scan sees exactly the i appends issued before it.
+    auto scan = client->ReadResponse();
+    ASSERT_OK(scan.status());
+    EXPECT_EQ(scan->kind, kRespOk) << "round " << i;
+    EXPECT_NE(
+        scan->payload.find("(" + std::to_string(i) + " rows)"),
+        std::string::npos)
+        << "round " << i << ": " << scan->payload;
+  }
+  StopServer();
+}
+
+// A client that fires a burst of reads and disconnects without reading a
+// byte back: the server drops the undeliverable replies, neither crashes
+// nor leaks them to anyone, and other clients keep working.
+TEST_P(ServerConcurrentReadTest, DisconnectMidDispatchedReadIsHarmless) {
+  StartServer();
+  {
+    auto setup = Connect();
+    ASSERT_OK(setup.status());
+    EXPECT_EQ(Ask(*setup, "create emp (name = string, sal = float)"),
+              "ok\n");
+    for (int i = 0; i < 200; ++i) {
+      Ask(*setup, "append emp (name=\"e" + std::to_string(i) +
+                      "\", sal=" + std::to_string(i) + ".0)");
+    }
+  }
+  for (int round = 0; round < 5; ++round) {
+    auto doomed = Connect();
+    ASSERT_OK(doomed.status());
+    std::string burst;
+    for (int i = 0; i < 20; ++i) {
+      burst += EncodeRequest("retrieve (emp.all)");
+    }
+    ASSERT_OK(doomed->SendRaw(burst));
+    doomed->Close();  // never reads a reply
+  }
+  // The server is still fully functional for a well-behaved client.
+  auto survivor = Connect();
+  ASSERT_OK(survivor.status());
+  EXPECT_EQ(Ask(*survivor, "append emp (name=\"alive\", sal=1.0)"),
+            "(1 tuples affected)\n");
+  EXPECT_NE(Ask(*survivor, "retrieve (emp.all) where emp.name = \"alive\"")
+                .find("(1 rows)"),
+            std::string::npos);
+  StopServer();
+}
+
+// Owner gating covers reads too: while session A holds an explicit
+// transaction with an uncommitted append, session B's retrieve is deferred
+// — it answers only after A aborts, and never sees the uncommitted row.
+TEST_P(ServerConcurrentReadTest, TransactionOwnerGatesDispatchedReads) {
+  StartServer();
+  auto a = Connect();
+  auto b = Connect();
+  ASSERT_OK(a.status());
+  ASSERT_OK(b.status());
+  EXPECT_EQ(Ask(*a, "create emp (name = string, sal = float)"), "ok\n");
+  EXPECT_EQ(Ask(*a, "begin"), "ok\n");
+  EXPECT_EQ(Ask(*a, "append emp (name=\"mine\", sal=1.0)"),
+            "(1 tuples affected)\n");
+
+  ASSERT_OK(b->Send("retrieve (emp.all)"));
+  EXPECT_EQ(Ask(*a, "abort"), "ok\n");
+
+  auto deferred = b->ReadResponse();
+  ASSERT_OK(deferred.status());
+  EXPECT_EQ(deferred->kind, kRespOk);
+  EXPECT_EQ(deferred->payload.find("mine"), std::string::npos)
+      << deferred->payload;
+  EXPECT_NE(deferred->payload.find("(0 rows)"), std::string::npos)
+      << deferred->payload;
+  StopServer();
+}
+
+// Eight clients running a 90/10 read/write mix leave exactly the relation
+// contents a serial execution would.
+TEST_P(ServerConcurrentReadTest, MixedWorkloadConvergesToSerialState) {
+  constexpr int kClients = 8;
+  constexpr int kCommandsPerClient = 20;
+  StartServer();
+  {
+    auto setup = Connect();
+    ASSERT_OK(setup.status());
+    EXPECT_EQ(Ask(*setup, "create t (n = int)"), "ok\n");
+  }
+  std::vector<std::thread> workers;
+  for (int c = 0; c < kClients; ++c) {
+    workers.emplace_back([this] {
+      auto client = Connect();
+      ASSERT_OK(client.status());
+      for (int i = 0; i < kCommandsPerClient; ++i) {
+        if (i % 10 == 9) {
+          Ask(*client, "append t (n=1)");
+        } else {
+          Ask(*client, "retrieve (t.all) where t.n = 1");
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  {
+    auto check = Connect();
+    ASSERT_OK(check.status());
+    const int writes = kClients * (kCommandsPerClient / 10);
+    EXPECT_NE(Ask(*check, "retrieve (t.all)")
+                  .find("(" + std::to_string(writes) + " rows)"),
+              std::string::npos);
+  }
+  StopServer();
+}
+
 #if defined(__linux__)
-                         ::testing::Values("poll", "epoll"),
+constexpr const char* kBackends[] = {"poll", "epoll"};
 #else
-                         ::testing::Values("poll"),
+constexpr const char* kBackends[] = {"poll"};
 #endif
-                         [](const ::testing::TestParamInfo<const char*>& info) {
-                           return std::string(info.param);
-                         });
+
+std::string BackendName(const ::testing::TestParamInfo<const char*>& info) {
+  return info.param;
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ServerLoopbackTest,
+                         ::testing::ValuesIn(kBackends), BackendName);
+INSTANTIATE_TEST_SUITE_P(Backends, ServerConcurrentReadTest,
+                         ::testing::ValuesIn(kBackends), BackendName);
 
 }  // namespace
 }  // namespace ariel::server

@@ -176,55 +176,5 @@ TEST(TupleTest, TidEncodingRoundTrip) {
   EXPECT_EQ(DecodeTid(EncodeTid(TupleId{1, 0})), (TupleId{1, 0}));
 }
 
-// Copy-on-write pins (ISSUE 10): a PinStore() handle is an immutable image
-// of the relation at pin time. Mutations after the pin detach into a fresh
-// store, so the pinned image never changes underneath the reader.
-TEST(HeapRelationTest, PinnedStoreIsImmuneToLaterMutations) {
-  HeapRelation rel(1, "emp", EmpSchema());
-  TupleId a = *rel.Insert(Emp("a", 1.0, 1));
-  TupleId b = *rel.Insert(Emp("b", 2.0, 1));
-  const uint64_t pinned_version = rel.version();
-  std::shared_ptr<const TupleStore> pin = rel.PinStore();
-
-  ASSERT_OK(rel.Insert(Emp("c", 3.0, 1)));  // appends a new slot
-  ASSERT_OK(rel.Delete(a));
-  ASSERT_OK(rel.Update(b, Emp("b2", 20.0, 2)));
-
-  // The pinned image still shows the pre-mutation world (two slots, no c)...
-  EXPECT_EQ(pin->slots.size(), 2u);
-  ASSERT_LT(a.slot, pin->slots.size());
-  ASSERT_TRUE(pin->slots[a.slot].has_value());
-  EXPECT_EQ(pin->slots[a.slot]->at(0), Value::String("a"));
-  ASSERT_TRUE(pin->slots[b.slot].has_value());
-  EXPECT_EQ(pin->slots[b.slot]->at(0), Value::String("b"));
-  // ...while the live relation moved on.
-  EXPECT_EQ(rel.Get(a), nullptr);
-  EXPECT_EQ(rel.Get(b)->at(0), Value::String("b2"));
-  EXPECT_GT(rel.version(), pinned_version);
-}
-
-// Without an outstanding pin the store is not cloned: mutations write the
-// same TupleStore object in place (the zero-copy fast path).
-TEST(HeapRelationTest, UnpinnedMutationsDoNotClone) {
-  HeapRelation rel(1, "emp", EmpSchema());
-  ASSERT_OK(rel.Insert(Emp("a", 1.0, 1)));
-  const TupleStore* before = rel.PinStore().get();  // pin dropped immediately
-  ASSERT_OK(rel.Insert(Emp("b", 2.0, 1)));
-  EXPECT_EQ(rel.PinStore().get(), before);
-}
-
-// Two pins across a mutation see two distinct stores; dropping the old pin
-// releases the old image.
-TEST(HeapRelationTest, PinsAcrossMutationsSeeDistinctStores) {
-  HeapRelation rel(1, "emp", EmpSchema());
-  ASSERT_OK(rel.Insert(Emp("a", 1.0, 1)));
-  std::shared_ptr<const TupleStore> old_pin = rel.PinStore();
-  ASSERT_OK(rel.Insert(Emp("b", 2.0, 1)));
-  std::shared_ptr<const TupleStore> new_pin = rel.PinStore();
-  EXPECT_NE(old_pin.get(), new_pin.get());
-  EXPECT_EQ(old_pin->live_count, 1u);
-  EXPECT_EQ(new_pin->live_count, 2u);
-}
-
 }  // namespace
 }  // namespace ariel
